@@ -179,6 +179,109 @@ enum Class {
     Node,
 }
 
+/// A flattened sequence's key: (production, LHS partition).
+type SeqKey = (ProductionId, usize);
+
+/// The analysis results every feasibility check reads.
+#[derive(Clone, Copy)]
+struct Inputs<'a> {
+    grammar: &'a Grammar,
+    seqs: &'a VisitSeqs,
+    fp: &'a FlatProgram,
+    objects: &'a ObjectIndex,
+    lt: &'a Lifetimes,
+}
+
+/// The planner's sequence index: for each object, the sorted keys of the
+/// sequences holding one of its instances. A check over a member set
+/// visits only the union of its members' keys — a sequence without member
+/// instances always passes with an empty record, so skipping it changes
+/// no verdict and no record.
+struct Planner<'a> {
+    inp: Inputs<'a>,
+    seqs_of: Vec<Vec<SeqKey>>,
+}
+
+impl<'a> Planner<'a> {
+    fn new(inp: Inputs<'a>) -> Self {
+        let mut keys: Vec<SeqKey> = inp.fp.instances.keys().copied().collect();
+        keys.sort_unstable();
+        let mut seqs_of: Vec<Vec<SeqKey>> = vec![Vec::new(); inp.objects.len()];
+        for key in keys {
+            for inst in &inp.fp.instances[&key] {
+                let of = &mut seqs_of[inp.objects.index(inst.object)];
+                if of.last() != Some(&key) {
+                    of.push(key);
+                }
+            }
+        }
+        Planner { inp, seqs_of }
+    }
+
+    /// The sorted keys of the sequences any of `members` appears in.
+    fn keys_of(&self, members: &[usize]) -> Vec<SeqKey> {
+        let mut keys: Vec<SeqKey> = members
+            .iter()
+            .flat_map(|&m| self.seqs_of[m].iter().copied())
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// True if `members` can share one storage of class `class`.
+    fn feasible(&self, class: Class, members: &[usize]) -> bool {
+        let keys = self.keys_of(members);
+        let member_set: HashSet<usize> = members.iter().copied().collect();
+        match class {
+            Class::Variable => keys
+                .iter()
+                .all(|&key| variable_feasible_seq(self.inp, members, &member_set, key)),
+            Class::Stack => keys.iter().all(|&key| {
+                StackSim::run_seq(self.inp, &member_set, &HashSet::new(), key).is_some()
+            }),
+            Class::Node => false,
+        }
+    }
+
+    /// Simulates one stack's sequences under its tentative copy
+    /// eliminations `elim`. While a sequence rejects, drops the least
+    /// tentative elimination (also from `eliminated`) and re-simulates the
+    /// sequences of its production only: a sequence's simulation reads
+    /// only the eliminations of its own production on its own stack.
+    /// Returns the final record of every sequence of the stack.
+    fn settle_stack(
+        &self,
+        members: &[usize],
+        mut elim: HashSet<(ProductionId, ONode)>,
+        eliminated: &mut HashSet<(ProductionId, ONode)>,
+    ) -> HashMap<SeqKey, SimRecord> {
+        let member_set: HashSet<usize> = members.iter().copied().collect();
+        let keys = self.keys_of(members);
+        let mut recs: HashMap<SeqKey, Option<SimRecord>> = keys
+            .iter()
+            .map(|&key| (key, StackSim::run_seq(self.inp, &member_set, &elim, key)))
+            .collect();
+        while recs.values().any(Option::is_none) {
+            // Feasibility was checked without eliminations, so a rejection
+            // implies a tentative elimination is still in place.
+            let victim = elim
+                .iter()
+                .min()
+                .copied()
+                .expect("rejection implies a tentative elimination");
+            elim.remove(&victim);
+            eliminated.remove(&victim);
+            for &key in keys.iter().filter(|k| k.0 == victim.0) {
+                recs.insert(key, StackSim::run_seq(self.inp, &member_set, &elim, key));
+            }
+        }
+        recs.into_iter()
+            .map(|(key, rec)| (key, rec.expect("every sequence settled")))
+            .collect()
+    }
+}
+
 /// Computes the space plan for a grammar under given visit sequences.
 pub fn plan_storage(
     grammar: &Grammar,
@@ -188,6 +291,13 @@ pub fn plan_storage(
     lt: &Lifetimes,
 ) -> SpacePlan {
     let n = objects.len();
+    let planner = Planner::new(Inputs {
+        grammar,
+        seqs,
+        fp,
+        objects,
+        lt,
+    });
 
     // ---- Phase A: singleton classification -----------------------------
     let mut class = vec![Class::Node; n];
@@ -202,9 +312,9 @@ pub fn plan_storage(
                 continue;
             }
         }
-        if variable_feasible(grammar, fp, lt, objects, &[oi]) {
+        if planner.feasible(Class::Variable, &[oi]) {
             class[oi] = Class::Variable;
-        } else if StackSim::run(grammar, seqs, fp, objects, &[oi], &HashSet::new()).is_some() {
+        } else if planner.feasible(Class::Stack, &[oi]) {
             class[oi] = Class::Stack;
         }
     }
@@ -214,8 +324,9 @@ pub fn plan_storage(
 
     // ---- Phase B: copy-driven packing ----------------------------------
     // Union-find over objects of the same class, merged greedily in order
-    // of copy-rule benefit.
+    // of copy-rule benefit, with the member list kept at each root.
     let mut parent: Vec<usize> = (0..n).collect();
+    let mut groups: Vec<Vec<usize>> = (0..n).map(|x| vec![x]).collect();
     fn find(parent: &mut [usize], x: usize) -> usize {
         let mut r = x;
         while parent[r] != r {
@@ -234,7 +345,7 @@ pub fn plan_storage(
     let mut benefit: HashMap<(usize, usize), usize> = HashMap::new();
     for p in grammar.productions() {
         for rule in grammar.production(p).rules() {
-            let Some((src, dst)) = copy_objects(grammar, p, rule) else {
+            let Some((src, dst)) = copy_objects(p, rule) else {
                 continue;
             };
             let (si, di) = (objects.index(src), objects.index(dst));
@@ -248,29 +359,23 @@ pub fn plan_storage(
     let mut candidates: Vec<((usize, usize), usize)> = benefit.into_iter().collect();
     candidates.sort_by_key(|&((a, b), ben)| (std::cmp::Reverse(ben), a, b));
 
+    // Pair verdicts, shared with the eliminable-copy count below: one pair
+    // recurs across copy rules.
+    let mut pair_ok: HashMap<(usize, usize), bool> = HashMap::new();
     for ((a, b), _) in candidates {
         let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
         if ra == rb {
             continue;
         }
-        // Group members if merged.
-        let members: Vec<usize> = (0..n)
-            .filter(|&x| {
-                class[x] != Class::Node && {
-                    let r = find(&mut parent, x);
-                    r == ra || r == rb
-                }
-            })
-            .collect();
-        let ok = match class[a] {
-            Class::Variable => variable_feasible(grammar, fp, lt, objects, &members),
-            Class::Stack => {
-                StackSim::run(grammar, seqs, fp, objects, &members, &HashSet::new()).is_some()
-            }
-            Class::Node => false,
-        };
+        let members: Vec<usize> = groups[ra].iter().chain(&groups[rb]).copied().collect();
+        let ok = planner.feasible(class[a], &members);
+        if members.len() == 2 {
+            pair_ok.insert((a, b), ok);
+        }
         if ok {
             parent[rb] = ra;
+            let moved = std::mem::take(&mut groups[rb]);
+            groups[ra].extend(moved);
         }
     }
 
@@ -295,16 +400,23 @@ pub fn plan_storage(
             }
         }
     }
+    let mut stack_members: Vec<Vec<usize>> = vec![Vec::new(); stack_ids.len()];
+    for (oi, s) in storage.iter().enumerate() {
+        if let Storage::Stack(id) = s {
+            stack_members[*id].push(oi);
+        }
+    }
 
     // ---- Copy elimination ------------------------------------------------
     // Variables: every copy between objects sharing a variable is a no-op
     // (feasibility coalesced their intervals).
     // Stacks: a copy whose source dies at the copy with the source on top
-    // becomes a rename; validated per sequence by the final simulation.
+    // becomes a rename; tentative until its stack is settled below.
     let mut eliminated: HashSet<(ProductionId, ONode)> = HashSet::new();
+    let mut tentative: Vec<HashSet<(ProductionId, ONode)>> = vec![HashSet::new(); stack_ids.len()];
     for p in grammar.productions() {
         for rule in grammar.production(p).rules() {
-            let Some((src, dst)) = copy_objects(grammar, p, rule) else {
+            let Some((src, dst)) = copy_objects(p, rule) else {
                 continue;
             };
             let (si, di) = (objects.index(src), objects.index(dst));
@@ -313,9 +425,8 @@ pub fn plan_storage(
                     eliminated.insert((p, rule.target()));
                 }
                 (Storage::Stack(x), Storage::Stack(y)) if x == y => {
-                    // Tentative; verified by the final simulation below
-                    // (dropped again if any sequence rejects the rename).
                     eliminated.insert((p, rule.target()));
+                    tentative[x].insert((p, rule.target()));
                 }
                 _ => {}
             }
@@ -323,27 +434,14 @@ pub fn plan_storage(
     }
 
     // ---- Final simulation + access tables --------------------------------
-    // Iterate because dropping one stack elimination can affect another
-    // sequence's simulation.
-    let (access, eliminated) = loop {
-        match build_access(
-            grammar,
-            seqs,
-            fp,
-            objects,
-            &storage,
-            &eliminated,
-            &stack_ids,
-        ) {
-            Ok(access) => break (access, eliminated.clone()),
-            Err(reject) => {
-                let mut e = eliminated.clone();
-                let removed = e.remove(&reject);
-                assert!(removed, "rejection must name a tentative elimination");
-                eliminated = e;
-            }
-        }
-    };
+    // Stacks are independent: each simulation sees only the eliminations
+    // on its own stack, so each settles on its own.
+    let recs: Vec<HashMap<SeqKey, SimRecord>> = stack_members
+        .iter()
+        .zip(tentative)
+        .map(|(members, elim)| planner.settle_stack(members, elim, &mut eliminated))
+        .collect();
+    let access = build_access(planner.inp, &storage, &eliminated, &recs);
 
     // ---- Statistics -------------------------------------------------------
     let mut stats = SpaceStats {
@@ -369,7 +467,7 @@ pub fn plan_storage(
     // Theoretically eliminable copies: pairwise-groupable same-class pairs.
     for p in grammar.productions() {
         for rule in grammar.production(p).rules() {
-            let Some((src, dst)) = copy_objects(grammar, p, rule) else {
+            let Some((src, dst)) = copy_objects(p, rule) else {
                 continue;
             };
             let (si, di) = (objects.index(src), objects.index(dst));
@@ -377,15 +475,10 @@ pub fn plan_storage(
                 stats.copies_eliminable += 1; // same object: trivially shared
                 continue;
             }
-            let ok = match (class[si], class[di]) {
-                (Class::Variable, Class::Variable) => {
-                    variable_feasible(grammar, fp, lt, objects, &[si, di])
-                }
-                (Class::Stack, Class::Stack) => {
-                    StackSim::run(grammar, seqs, fp, objects, &[si, di], &HashSet::new()).is_some()
-                }
-                _ => false,
-            };
+            let ok = class[si] == class[di]
+                && *pair_ok
+                    .entry((si.min(di), si.max(di)))
+                    .or_insert_with(|| planner.feasible(class[si], &[si, di]));
             if ok {
                 stats.copies_eliminable += 1;
             }
@@ -402,23 +495,22 @@ pub fn plan_storage(
     }
 }
 
-/// If `rule` is a copy between occurrences/locals, its (source, target)
-/// objects.
-fn copy_objects(
-    grammar: &Grammar,
-    p: ProductionId,
-    rule: &fnc2_ag::SemRule,
-) -> Option<(Object, Object)> {
+/// If `rule` of production `p` is a copy between occurrences/locals, its
+/// (source, target) objects.
+fn copy_objects(p: ProductionId, rule: &fnc2_ag::SemRule) -> Option<(Object, Object)> {
     if !rule.is_copy() {
         return None;
     }
     let src = rule.read_nodes().next()?;
-    let to_obj = |n: ONode| match n {
-        ONode::Attr(o) => Object::Attr(o.attr),
+    Some((node_object(p, src), node_object(p, rule.target())))
+}
+
+/// The storage object of node `n` of production `p`.
+fn node_object(p: ProductionId, n: ONode) -> Object {
+    match n {
+        ONode::Attr(Occ { attr, .. }) => Object::Attr(attr),
         ONode::Local(l) => Object::Local(p, l),
-    };
-    let _ = grammar;
-    Some((to_obj(src), to_obj(rule.target())))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -429,88 +521,101 @@ fn copy_objects(
 /// sequence, the (copy-coalesced) live intervals of their instances are
 /// pairwise disjoint, and no interval contains a `VISIT` that may evaluate
 /// a member.
-fn variable_feasible(
-    grammar: &Grammar,
-    fp: &FlatProgram,
-    lt: &Lifetimes,
-    objects: &ObjectIndex,
-    members: &[usize],
-) -> bool {
+fn variable_feasible(inp: Inputs<'_>, members: &[usize]) -> bool {
     let member_set: HashSet<usize> = members.iter().copied().collect();
-    for (&key, insts) in &fp.instances {
-        // Instances of member objects, with their intervals.
-        let mine: Vec<&crate::flat::Instance> = insts
-            .iter()
-            .filter(|i| member_set.contains(&objects.index(i.object)))
-            .collect();
-        if mine.is_empty() {
+    inp.fp
+        .instances
+        .keys()
+        .all(|&key| variable_feasible_seq(inp, members, &member_set, key))
+}
+
+/// The variable test of `members` in the one sequence `key`.
+fn variable_feasible_seq(
+    inp: Inputs<'_>,
+    members: &[usize],
+    member_set: &HashSet<usize>,
+    key: SeqKey,
+) -> bool {
+    let Inputs {
+        grammar,
+        fp,
+        objects,
+        lt,
+        ..
+    } = inp;
+    // Instances of member objects, with their intervals.
+    let mine: Vec<&crate::flat::Instance> = fp
+        .instances_of(key)
+        .iter()
+        .filter(|i| member_set.contains(&objects.index(i.object)))
+        .collect();
+    if mine.is_empty() {
+        return true;
+    }
+    // Coalesce copy-linked instances (the copy target holds the same
+    // value, so overlap between source and target is harmless).
+    let mut comp: HashMap<ONode, usize> = HashMap::new();
+    for (idx, inst) in mine.iter().enumerate() {
+        comp.insert(inst.node, idx);
+    }
+    let mut uf: Vec<usize> = (0..mine.len()).collect();
+    fn find(uf: &mut [usize], x: usize) -> usize {
+        let mut r = x;
+        while uf[r] != r {
+            r = uf[r];
+        }
+        uf[x] = r;
+        r
+    }
+    for rule in grammar.production(key.0).rules() {
+        if !rule.is_copy() {
             continue;
         }
-        // Coalesce copy-linked instances (the copy target holds the same
-        // value, so overlap between source and target is harmless).
-        let mut comp: HashMap<ONode, usize> = HashMap::new();
-        for (idx, inst) in mine.iter().enumerate() {
-            comp.insert(inst.node, idx);
+        let Some(src) = rule.read_nodes().next() else {
+            continue;
+        };
+        if let (Some(&a), Some(&b)) = (comp.get(&src), comp.get(&rule.target())) {
+            let (ra, rb) = (find(&mut uf, a), find(&mut uf, b));
+            uf[rb] = ra;
         }
-        let mut uf: Vec<usize> = (0..mine.len()).collect();
-        fn find(uf: &mut [usize], x: usize) -> usize {
-            let mut r = x;
-            while uf[r] != r {
-                r = uf[r];
-            }
-            uf[x] = r;
-            r
-        }
-        for rule in grammar.production(key.0).rules() {
-            if !rule.is_copy() {
-                continue;
-            }
-            let Some(src) = rule.read_nodes().next() else {
-                continue;
-            };
-            if let (Some(&a), Some(&b)) = (comp.get(&src), comp.get(&rule.target())) {
-                let (ra, rb) = (find(&mut uf, a), find(&mut uf, b));
-                uf[rb] = ra;
-            }
-        }
-        // Merge intervals per component.
-        let mut merged: HashMap<usize, (usize, usize)> = HashMap::new();
-        for (idx, inst) in mine.iter().enumerate() {
-            let r = find(&mut uf, idx);
-            let e = merged.entry(r).or_insert((inst.def_pos, inst.last_use()));
-            e.0 = e.0.min(inst.def_pos);
-            e.1 = e.1.max(inst.last_use());
-        }
-        // Pairwise disjoint across components. Touching endpoints are safe:
-        // at any single position, reads happen before the write (an `EVAL`
-        // reads its arguments first; a `VISIT` handoff is validated by the
-        // per-sequence checks of the visited phylum's own productions).
-        let ivals: Vec<(usize, usize)> = merged.values().copied().collect();
-        for (i, &(d1, u1)) in ivals.iter().enumerate() {
-            for &(d2, u2) in &ivals[i + 1..] {
-                if d1 < u2 && d2 < u1 {
-                    return false;
-                }
+    }
+    // Merge intervals per component.
+    let mut merged: HashMap<usize, (usize, usize)> = HashMap::new();
+    for (idx, inst) in mine.iter().enumerate() {
+        let r = find(&mut uf, idx);
+        let e = merged.entry(r).or_insert((inst.def_pos, inst.last_use()));
+        e.0 = e.0.min(inst.def_pos);
+        e.1 = e.1.max(inst.last_use());
+    }
+    // Pairwise disjoint across components. Touching endpoints are safe:
+    // at any single position, reads happen before the write (an `EVAL`
+    // reads its arguments first; a `VISIT` handoff is validated by the
+    // per-sequence checks of the visited phylum's own productions).
+    let ivals: Vec<(usize, usize)> = merged.values().copied().collect();
+    for (i, &(d1, u1)) in ivals.iter().enumerate() {
+        for &(d2, u2) in &ivals[i + 1..] {
+            if d1 < u2 && d2 < u1 {
+                return false;
             }
         }
-        // No intervening VISIT may evaluate any member — except the VISITs
-        // that *use* the instance: during those the visited subtree sees
-        // the instance as its own LHS occurrence and its sequences are
-        // checked directly.
-        for inst in &mine {
-            for &m in members {
-                if interval_hits_visit(
-                    grammar,
-                    fp,
-                    &lt.may_eval,
-                    key,
-                    inst.def_pos,
-                    inst.last_use(),
-                    m,
-                    &inst.uses,
-                ) {
-                    return false;
-                }
+    }
+    // No intervening VISIT may evaluate any member — except the VISITs
+    // that *use* the instance: during those the visited subtree sees
+    // the instance as its own LHS occurrence and its sequences are
+    // checked directly.
+    for inst in &mine {
+        for &m in members {
+            if interval_hits_visit(
+                grammar,
+                fp,
+                &lt.may_eval,
+                key,
+                inst.def_pos,
+                inst.last_use(),
+                m,
+                &inst.uses,
+            ) {
+                return false;
             }
         }
     }
@@ -536,50 +641,43 @@ struct SimRecord {
 struct StackSim;
 
 impl StackSim {
-    /// Runs the simulation for `members` over every sequence; returns the
-    /// per-sequence records, or `None` if the group is infeasible.
-    /// `eliminate` holds (production, target) copies tentatively turned
-    /// into top renames; if a rename is invalid the simulation fails (the
-    /// caller retries without it).
-    fn run(
-        grammar: &Grammar,
-        seqs: &VisitSeqs,
-        fp: &FlatProgram,
-        objects: &ObjectIndex,
-        members: &[usize],
-        eliminate: &HashSet<(ProductionId, ONode)>,
-    ) -> Option<HashMap<(ProductionId, usize), SimRecord>> {
+    /// True if `members` admit a consistent simulation in every sequence.
+    /// `eliminate` holds (production, target) copies turned into top
+    /// renames; an invalid rename fails the simulation.
+    fn run(inp: Inputs<'_>, members: &[usize], eliminate: &HashSet<(ProductionId, ONode)>) -> bool {
         let member_set: HashSet<usize> = members.iter().copied().collect();
-        let mut out = HashMap::new();
-        for (&key, fs) in &fp.seqs {
-            let rec = Self::run_seq(grammar, seqs, fp, objects, &member_set, eliminate, key, fs)?;
-            out.insert(key, rec);
-        }
-        Some(out)
+        inp.fp
+            .seqs
+            .keys()
+            .all(|&key| Self::run_seq(inp, &member_set, eliminate, key).is_some())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Simulates the one sequence `key`; `None` if the group is infeasible
+    /// there.
     fn run_seq(
-        grammar: &Grammar,
-        seqs: &VisitSeqs,
-        fp: &FlatProgram,
-        objects: &ObjectIndex,
+        inp: Inputs<'_>,
         members: &HashSet<usize>,
         eliminate: &HashSet<(ProductionId, ONode)>,
-        key: (ProductionId, usize),
-        fs: &crate::flat::FlatSeq,
+        key: SeqKey,
     ) -> Option<SimRecord> {
+        let Inputs {
+            grammar,
+            seqs,
+            fp,
+            objects,
+            ..
+        } = inp;
+        let fs = &fp.seqs[&key];
         let (p, _pi) = key;
         let prod = grammar.production(p);
-        let insts = fp.instances_of(key);
+        let mine: Vec<&crate::flat::Instance> = fp
+            .instances_of(key)
+            .iter()
+            .filter(|i| members.contains(&objects.index(i.object)))
+            .collect();
         let by_node: HashMap<ONode, &crate::flat::Instance> =
-            insts.iter().map(|i| (i.node, i)).collect();
-        let is_member = |n: ONode| -> bool {
-            by_node
-                .get(&n)
-                .map(|i| members.contains(&objects.index(i.object)))
-                .unwrap_or(false)
-        };
+            mine.iter().map(|&i| (i.node, i)).collect();
+        let is_member = |n: ONode| -> bool { by_node.contains_key(&n) };
         // Pop schedule: position → instances whose last use is there (and
         // that this sequence must pop: ChildInh, ChildSyn, Local). Member
         // child-side instances are also bucketed by child position so the
@@ -587,10 +685,7 @@ impl StackSim {
         // production at every visit.
         let mut pops_at: HashMap<usize, Vec<ONode>> = HashMap::new();
         let mut member_child: HashMap<u16, Vec<&crate::flat::Instance>> = HashMap::new();
-        for inst in insts {
-            if !members.contains(&objects.index(inst.object)) {
-                continue;
-            }
+        for &inst in &mine {
             if matches!(
                 inst.kind,
                 InstanceKind::ChildInh | InstanceKind::ChildSyn | InstanceKind::Local
@@ -659,11 +754,10 @@ impl StackSim {
             match item {
                 FlatItem::Begin(v) => {
                     // Virtual pushes for the LHS inherited of this visit.
-                    let mut virt: Vec<ONode> = insts
+                    let mut virt: Vec<ONode> = mine
                         .iter()
                         .filter(|i| {
                             i.kind == InstanceKind::LhsInh
-                                && members.contains(&objects.index(i.object))
                                 && fs.visit_at(i.def_pos) == *v
                                 && i.def_pos == pos
                         })
@@ -684,13 +778,9 @@ impl StackSim {
                         return None; // unresolvable delayed pops
                     }
                     // Top region must be exactly this visit's LHS syn.
-                    let syn: Vec<ONode> = insts
+                    let syn: Vec<ONode> = mine
                         .iter()
-                        .filter(|i| {
-                            i.kind == InstanceKind::LhsSyn
-                                && members.contains(&objects.index(i.object))
-                                && fs.visit_at(i.def_pos) == *v
-                        })
+                        .filter(|i| i.kind == InstanceKind::LhsSyn && fs.visit_at(i.def_pos) == *v)
                         .map(|i| i.node)
                         .collect();
                     if stack.len() != baseline + syn.len() {
@@ -820,62 +910,31 @@ impl StackSim {
 // Final access tables
 // ---------------------------------------------------------------------------
 
-/// Builds the runtime access tables; fails with the (production, target) of
-/// a stack-copy elimination that some sequence's simulation rejected.
-#[allow(clippy::too_many_arguments)]
+/// Builds the runtime access tables from the settled per-stack records
+/// (`recs[id]` for stack `id`). Pops after a step are listed in ascending
+/// stack id, so the tables — and the artifacts embedding them — are
+/// reproducible.
 fn build_access(
-    grammar: &Grammar,
-    seqs: &VisitSeqs,
-    fp: &FlatProgram,
-    objects: &ObjectIndex,
+    inp: Inputs<'_>,
     storage: &[Storage],
     eliminated: &HashSet<(ProductionId, ONode)>,
-    stack_ids: &HashMap<usize, usize>,
-) -> Result<HashMap<(ProductionId, usize), SeqAccess>, (ProductionId, ONode)> {
-    let _ = stack_ids;
-    // Run one simulation per stack id over its member objects.
-    let mut stacks: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (oi, s) in storage.iter().enumerate() {
-        if let Storage::Stack(id) = s {
-            stacks.entry(*id).or_default().push(oi);
-        }
-    }
-    let mut recs: HashMap<usize, HashMap<(ProductionId, usize), SimRecord>> = HashMap::new();
-    for (&id, members) in &stacks {
-        // Restrict tentative eliminations to copies on this stack.
-        let elim: HashSet<(ProductionId, ONode)> = eliminated
-            .iter()
-            .filter(|(p, t)| {
-                let obj = match t {
-                    ONode::Attr(o) => Object::Attr(o.attr),
-                    ONode::Local(l) => Object::Local(*p, *l),
-                };
-                storage[objects.index(obj)] == Storage::Stack(id)
-            })
-            .copied()
-            .collect();
-        match StackSim::run(grammar, seqs, fp, objects, members, &elim) {
-            Some(r) => {
-                recs.insert(id, r);
-            }
-            None => {
-                // Blame one tentative elimination on this stack (retry
-                // without it); if there is none the group itself is
-                // infeasible — impossible, feasibility was checked without
-                // eliminations, so some elimination must be present.
-                let victim = elim
-                    .iter()
-                    .min()
-                    .copied()
-                    .expect("rejection implies a tentative elimination");
-                return Err(victim);
-            }
-        }
-    }
-
+    recs: &[HashMap<SeqKey, SimRecord>],
+) -> HashMap<SeqKey, SeqAccess> {
+    let Inputs {
+        grammar,
+        fp,
+        objects,
+        ..
+    } = inp;
     let mut access = HashMap::new();
     for (&key, fs) in &fp.seqs {
         let (p, _) = key;
+        // The records of the stacks this sequence touches, by stack id.
+        let seq_recs: Vec<(usize, &SimRecord)> = recs
+            .iter()
+            .enumerate()
+            .filter_map(|(id, r)| r.get(&key).map(|r| (id, r)))
+            .collect();
         let mut steps: Vec<StepAccess> = Vec::with_capacity(fs.items.len());
         for (pos, item) in fs.items.iter().enumerate() {
             let mut step = StepAccess::default();
@@ -888,18 +947,14 @@ fn build_access(
                 // Argument paths, in rule-argument order.
                 let args: Vec<ReadPath> = match rule.body() {
                     RuleBody::Copy(a) => {
-                        vec![arg_path(grammar, objects, storage, &recs, key, pos, p, a)]
+                        vec![arg_path(objects, storage, recs, key, pos, a)]
                     }
                     RuleBody::Call { args, .. } => args
                         .iter()
-                        .map(|a| arg_path(grammar, objects, storage, &recs, key, pos, p, a))
+                        .map(|a| arg_path(objects, storage, recs, key, pos, a))
                         .collect(),
                 };
-                let tobj = match target {
-                    ONode::Attr(o) => Object::Attr(o.attr),
-                    ONode::Local(l) => Object::Local(p, *l),
-                };
-                let write = match storage[objects.index(tobj)] {
+                let write = match storage[objects.index(node_object(p, *target))] {
                     Storage::Node => WritePath::Node,
                     Storage::Variable(id) => {
                         if eliminated.contains(&(p, *target)) {
@@ -909,11 +964,7 @@ fn build_access(
                         }
                     }
                     Storage::Stack(id) => {
-                        let renamed = recs
-                            .get(&id)
-                            .and_then(|r| r.get(&key))
-                            .map(|r| r.renames.contains(&pos))
-                            .unwrap_or(false);
+                        let renamed = recs[id].get(&key).is_some_and(|r| r.renames.contains(&pos));
                         if renamed {
                             WritePath::SkipStackTop
                         } else {
@@ -925,54 +976,40 @@ fn build_access(
                 step.write = Some(write);
             }
             // Pops scheduled after this position, across all stacks.
-            for (&id, per_seq) in &recs {
-                if let Some(r) = per_seq.get(&key) {
-                    if let Some(&n) = r.pops.get(&pos) {
-                        for _ in 0..n {
-                            step.pops_after.push(id);
-                        }
-                    }
+            for &(id, r) in &seq_recs {
+                if let Some(&n) = r.pops.get(&pos) {
+                    step.pops_after.extend(std::iter::repeat_n(id, n));
                 }
             }
             steps.push(step);
         }
         access.insert(key, SeqAccess { steps });
     }
-    Ok(access)
+    access
 }
 
-#[allow(clippy::too_many_arguments)]
 fn arg_path(
-    grammar: &Grammar,
     objects: &ObjectIndex,
     storage: &[Storage],
-    recs: &HashMap<usize, HashMap<(ProductionId, usize), SimRecord>>,
-    key: (ProductionId, usize),
+    recs: &[HashMap<SeqKey, SimRecord>],
+    key: SeqKey,
     pos: usize,
-    p: ProductionId,
     arg: &fnc2_ag::Arg,
 ) -> ReadPath {
-    let _ = grammar;
     match arg {
         fnc2_ag::Arg::Const(_) | fnc2_ag::Arg::Token => ReadPath::Immediate,
-        fnc2_ag::Arg::Node(n) => {
-            let obj = match n {
-                ONode::Attr(Occ { attr, .. }) => Object::Attr(*attr),
-                ONode::Local(l) => Object::Local(p, *l),
-            };
-            match storage[objects.index(obj)] {
-                Storage::Node => ReadPath::Node,
-                Storage::Variable(id) => ReadPath::Variable(id),
-                Storage::Stack(id) => {
-                    let depth = recs[&id][&key]
-                        .depths
-                        .get(&(pos, *n))
-                        .copied()
-                        .expect("simulation recorded every member read");
-                    ReadPath::Stack(id, depth)
-                }
+        fnc2_ag::Arg::Node(n) => match storage[objects.index(node_object(key.0, *n))] {
+            Storage::Node => ReadPath::Node,
+            Storage::Variable(id) => ReadPath::Variable(id),
+            Storage::Stack(id) => {
+                let depth = recs[id][&key]
+                    .depths
+                    .get(&(pos, *n))
+                    .copied()
+                    .expect("simulation recorded every member read");
+                ReadPath::Stack(id, depth)
             }
-        }
+        },
     }
 }
 
@@ -999,6 +1036,13 @@ pub fn validate_plan(
     lt: &Lifetimes,
     plan: &SpacePlan,
 ) -> Result<(), String> {
+    let inp = Inputs {
+        grammar,
+        seqs,
+        fp,
+        objects,
+        lt,
+    };
     let mut variables: HashMap<usize, Vec<usize>> = HashMap::new();
     let mut stacks: HashMap<usize, Vec<usize>> = HashMap::new();
     for (oi, s) in plan.storage.iter().enumerate() {
@@ -1025,7 +1069,7 @@ pub fn validate_plan(
     let mut var_ids: Vec<usize> = variables.keys().copied().collect();
     var_ids.sort_unstable();
     for id in var_ids {
-        if !variable_feasible(grammar, fp, lt, objects, &variables[&id]) {
+        if !variable_feasible(inp, &variables[&id]) {
             return Err(format!(
                 "variable {id} groups objects with overlapping lifetimes"
             ));
@@ -1037,16 +1081,10 @@ pub fn validate_plan(
         let elim: HashSet<(ProductionId, ONode)> = plan
             .eliminated
             .iter()
-            .filter(|(p, t)| {
-                let obj = match t {
-                    ONode::Attr(o) => Object::Attr(o.attr),
-                    ONode::Local(l) => Object::Local(*p, *l),
-                };
-                plan.storage[objects.index(obj)] == Storage::Stack(id)
-            })
+            .filter(|&&(p, t)| plan.storage[objects.index(node_object(p, t))] == Storage::Stack(id))
             .copied()
             .collect();
-        if StackSim::run(grammar, seqs, fp, objects, &stacks[&id], &elim).is_none() {
+        if !StackSim::run(inp, &stacks[&id], &elim) {
             return Err(format!(
                 "stack {id} fails the symbolic simulation under the plan's eliminations"
             ));
@@ -1059,7 +1097,7 @@ pub fn validate_plan(
         let Some(rule) = grammar.rule_for(p, target) else {
             return Err(format!("eliminated copy in `{prod}` names a missing rule"));
         };
-        let Some((src, dst)) = copy_objects(grammar, p, rule) else {
+        let Some((src, dst)) = copy_objects(p, rule) else {
             return Err(format!(
                 "eliminated rule in `{prod}` is not a copy between objects"
             ));

@@ -1,8 +1,6 @@
 //! Storage objects: the units the space optimizer assigns to variables,
 //! stacks, or tree nodes.
 
-use std::collections::HashMap;
-
 use fnc2_ag::{AttrId, Grammar, LocalId, ProductionId};
 
 /// Something that needs storage: an attribute declaration or a
@@ -33,11 +31,14 @@ impl Object {
     }
 }
 
-/// Dense indexing of all storage objects of a grammar.
+/// Dense indexing of all storage objects of a grammar: attributes by
+/// their own dense id, then each production's locals in a block of their
+/// own.
 #[derive(Clone, Debug)]
 pub struct ObjectIndex {
     list: Vec<Object>,
-    map: HashMap<Object, usize>,
+    /// Index of production `p`'s first local, at `local_base[p]`.
+    local_base: Vec<usize>,
 }
 
 impl ObjectIndex {
@@ -46,18 +47,14 @@ impl ObjectIndex {
         let mut list: Vec<Object> = (0..grammar.attr_count() as u32)
             .map(|i| Object::Attr(AttrId::from_raw(i)))
             .collect();
+        let mut local_base = Vec::with_capacity(grammar.production_count());
         for p in grammar.productions() {
+            local_base.push(list.len());
             for l in 0..grammar.production(p).locals().len() as u32 {
                 list.push(Object::Local(p, LocalId::from_raw(l)));
             }
         }
-        let map = list
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, o)| (o, i))
-            .collect();
-        ObjectIndex { list, map }
+        ObjectIndex { list, local_base }
     }
 
     /// Number of objects.
@@ -72,7 +69,12 @@ impl ObjectIndex {
 
     /// The dense index of `o`.
     pub fn index(&self, o: Object) -> usize {
-        self.map[&o]
+        let i = match o {
+            Object::Attr(a) => a.index(),
+            Object::Local(p, l) => self.local_base[p.index()] + l.index(),
+        };
+        debug_assert_eq!(self.list[i], o, "object of another grammar");
+        i
     }
 
     /// The object at dense index `i`.
